@@ -20,11 +20,10 @@ in either fails the run.
 
 Schema 4 adds the **backend** scenario: the frontier-batched vectorized
 engine raced against the iterative default over the same plans, gated
-on bit-identical match sequences and ``#enum`` (unsharded and
-per-shard) plus a wall-clock win, with the speedup and peak
-batch-scratch bytes recorded.  ``REPRO_BENCH_ENUM_STRATEGY`` selects
-the backend the workload/sharded scenarios run with (bit-identity makes
-the baseline's counts backend-independent).
+on bit-identical match sequences and ``#enum`` plus a wall-clock win,
+with the speedup and peak batch-scratch bytes recorded.
+``REPRO_BENCH_ENUM_STRATEGY`` selects the backend the workload scenario
+runs with (bit-identity makes the baseline's counts backend-independent).
 
 Not collected by pytest (no ``test_`` prefix) — run it directly::
 
@@ -68,15 +67,6 @@ FULL_WORKLOADS = (
 
 MATCH_LIMIT = 100_000
 TIME_LIMIT = 60.0
-
-#: Shard counts for the partitioned-matching scenario; 1 measures the
-#: pure partitioning overhead, 4 the memory win.
-SHARD_COUNTS = (1, 2, 4)
-
-#: Allowed relative sharded-vs-unsharded enumeration slowdown.  Thread
-#: speedup is out of scope (the GIL serializes the per-shard work);
-#: the gate pins that fan-out + merge bookkeeping stays cheap.
-SHARDED_OVERHEAD_TOLERANCE = 0.15
 
 
 # The perf gate normalizes enumeration wall-clock by the shared
@@ -304,9 +294,7 @@ def bench_backend(workloads, repeats: int) -> dict:
 
     Two gates.  **Identity**: on every workload query the vectorized
     backend must reproduce the iterative engine's match *sequences* and
-    ``#enum`` exactly — unsharded and per-shard (``shards=2``, where the
-    merged sequences must also equal the unsharded ones and the
-    summed per-shard ``#enum`` must agree engine-to-engine).
+    ``#enum`` exactly.
     **Wall-clock**: it must beat the iterative engine on aggregate
     enumeration time (the PR's target is >= 3x ``enum_steps_per_s`` on
     the full profile; the honest ratio is recorded either way).  The
@@ -336,30 +324,18 @@ def bench_backend(workloads, repeats: int) -> dict:
             data, filter="gql", orderer="ri",
             match_limit=MATCH_LIMIT, time_limit=TIME_LIMIT,
         )
-        sharded = Matcher(
-            data, filter="gql", orderer="ri", shards=2,
-            match_limit=MATCH_LIMIT, time_limit=TIME_LIMIT,
-        )
         queries = query_workload(dataset, size=size, count=count, data=data).eval
         plans = [matcher.plan(q) for q in queries]
-        shard_plans = [sharded.plan(q) for q in queries]
 
         # Identity pass: recorded, untimed, compare-and-discard per
         # query so at most one query's sequences stay resident.
         ds_agree = True
-        for plan, shard_plan in zip(plans, shard_plans):
+        for plan in plans:
             it = matcher.execute(plan, enumerator=recorders["iterative"])
             vec = matcher.execute(plan, enumerator=recorders["vectorized"])
             ok = (
                 it.enumeration.matches == vec.enumeration.matches
                 and it.num_enumerations == vec.num_enumerations
-            )
-            sit = sharded.execute(shard_plan, enumerator=recorders["iterative"])
-            svec = sharded.execute(shard_plan, enumerator=recorders["vectorized"])
-            ok &= (
-                svec.enumeration.matches == sit.enumeration.matches
-                and svec.enumeration.matches == it.enumeration.matches
-                and svec.num_enumerations == sit.num_enumerations
             )
             ds_agree &= ok
         agree &= ds_agree
@@ -415,76 +391,6 @@ def bench_backend(workloads, repeats: int) -> dict:
         "enum_steps_per_s": round(total_enum / max(totals["vectorized"], 1e-9), 1),
         "peak_batch_scratch_bytes": int(peak_scratch),
     }
-
-
-def bench_sharded(workloads, repeats: int, enum_strategy: str) -> list[dict]:
-    """Partitioned matching vs the single-shard oracle.
-
-    For each workload and shard count: per-query match-count agreement
-    with the unsharded run (the sequence-level bit-identity is pinned by
-    the tier-1 suite; counts are the honest check at benchmark scale),
-    the peak *per-shard* candidate-space footprint — the figure a
-    placement scheduler sizes a worker by — and the enumeration
-    wall-clock ratio against unsharded, merge bookkeeping included.
-    """
-    rows = []
-    for dataset, size, count in workloads:
-        data = load_dataset(dataset)
-        queries = query_workload(dataset, size=size, count=count, data=data).eval
-        base = Matcher(
-            data, filter="gql", orderer="ri", enumerator=enum_strategy,
-            match_limit=MATCH_LIMIT, time_limit=TIME_LIMIT,
-        )
-        base_plans = [base.plan(q) for q in queries]
-        base_peak = max((p.candidate_space_bytes for p in base_plans), default=0)
-        base_best = None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            base_results = [base.execute(p) for p in base_plans]
-            elapsed = time.perf_counter() - start
-            base_best = elapsed if base_best is None else min(base_best, elapsed)
-        base_counts = [r.num_matches for r in base_results]
-        for shards in SHARD_COUNTS:
-            matcher = Matcher(
-                data, filter="gql", orderer="ri", enumerator=enum_strategy,
-                shards=shards,
-                match_limit=MATCH_LIMIT, time_limit=TIME_LIMIT,
-            )
-            plans = [matcher.plan(q) for q in queries]
-            peak = max((p.peak_shard_space_bytes for p in plans), default=0)
-            best = None
-            for _ in range(repeats):
-                start = time.perf_counter()
-                results = [matcher.execute(p) for p in plans]
-                elapsed = time.perf_counter() - start
-                best = elapsed if best is None else min(best, elapsed)
-            agree = [r.num_matches for r in results] == base_counts
-            merge_time = sum(r.merge_time for r in results)
-            ratio = best / max(base_best, 1e-9)
-            row = {
-                "dataset": dataset,
-                "query_size": size,
-                "shards": shards,
-                "agree": agree,
-                "matches": sum(r.num_matches for r in results),
-                "num_enumerations": sum(r.num_enumerations for r in results),
-                "enum_time_s": round(best, 6),
-                "unsharded_enum_time_s": round(base_best, 6),
-                "vs_unsharded": round(ratio, 3),
-                "merge_time_s": round(merge_time, 6),
-                "peak_shard_space_bytes": int(peak),
-                "unsharded_space_bytes": int(base_peak),
-            }
-            rows.append(row)
-            print(
-                f"  {dataset:<10} shards={shards}  "
-                f"enum={best * 1e3:7.1f}ms ({ratio:5.2f}x unsharded)  "
-                f"merge={merge_time * 1e3:5.1f}ms  "
-                f"shard-peak={peak / 1024:7.1f}KiB "
-                f"(vs {base_peak / 1024:7.1f}KiB)  "
-                f"{'counts agree' if agree else 'COUNT DISAGREEMENT'}"
-            )
-    return rows
 
 
 def _relabeled_isomorph(query, seed: int):
@@ -659,7 +565,7 @@ def main(argv: list[str] | None = None) -> int:
 
     workloads = QUICK_WORKLOADS if args.quick else FULL_WORKLOADS
     repeats = 3 if args.quick else 5
-    # Backend for the workload/sharded scenarios: CI's perf-smoke matrix
+    # Backend for the workload scenario: CI's perf-smoke matrix
     # sets REPRO_BENCH_ENUM_STRATEGY=vectorized so output drift or a
     # wall-clock regression on the batched backend fails the build (the
     # baseline's counts are backend-independent — bit-identity is the
@@ -679,8 +585,6 @@ def main(argv: list[str] | None = None) -> int:
     backend = bench_backend(workloads, repeats)
     print("repeated-workload scenario (cold planning vs plan-cache hits)")
     plan_cache = bench_plan_cache(workloads, repeats)
-    print("partitioned-matching scenario (edge-cut shards vs single shard)")
-    sharded = bench_sharded(workloads, repeats, enum_strategy)
 
     report = {
         "schema": SCHEMA,
@@ -690,7 +594,6 @@ def main(argv: list[str] | None = None) -> int:
         "selfcheck": selfcheck,
         "backend": backend,
         "plan_cache": plan_cache,
-        "sharded": sharded,
         "totals": {
             "matches": sum(r["matches"] for r in rows),
             "num_enumerations": sum(r["num_enumerations"] for r in rows),
@@ -732,22 +635,6 @@ def main(argv: list[str] | None = None) -> int:
             f"({plan_cache['speedup']:.2f}x)"
         )
         ok = False
-    if not all(row["agree"] for row in sharded):
-        print("SHARDED FAILED: match counts disagree with the unsharded run")
-        ok = False
-    # Aggregate overhead gate per shard count: fan-out + merge must stay
-    # within tolerance of the single-shard oracle's wall-clock.
-    for shards in SHARD_COUNTS:
-        group = [row for row in sharded if row["shards"] == shards]
-        total = sum(row["enum_time_s"] for row in group)
-        base_total = sum(row["unsharded_enum_time_s"] for row in group)
-        if total > base_total * (1.0 + SHARDED_OVERHEAD_TOLERANCE):
-            print(
-                f"SHARDED FAILED: shards={shards} enumeration "
-                f"{total / max(base_total, 1e-9):.2f}x unsharded "
-                f"(tolerance +{SHARDED_OVERHEAD_TOLERANCE:.0%})"
-            )
-            ok = False
     if args.compare is not None:
         baseline = json.loads(Path(args.compare).read_text())
         ok &= compare_against_baseline(report, baseline, args.tolerance)

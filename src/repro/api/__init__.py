@@ -41,7 +41,7 @@ True
 """
 
 from repro.api.matcher import Matcher
-from repro.api.plan import QueryPlan, ShardPlan
+from repro.api.plan import QueryPlan
 from repro.api.registry import (
     ComponentRegistry,
     available_components,
@@ -60,7 +60,6 @@ __all__ = [
     "ComponentRegistry",
     "Matcher",
     "QueryPlan",
-    "ShardPlan",
     "available_components",
     "enumerator_registry",
     "filter_registry",

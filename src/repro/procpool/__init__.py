@@ -1,8 +1,8 @@
 """Multiprocess execution tier under the cost-aware scheduler.
 
 Phase (3) enumeration is CPU-bound Python: thread workers serialize on
-the GIL, so PR 9's scheduler could order and police work but never make
-it faster.  This package is the missing executor —
+the GIL, so the cost-aware scheduler could order and police work but
+never make it faster.  This package is the missing executor —
 ``SchedulerConfig(executor="process")`` dispatches admitted requests to
 a :class:`ProcessPool` of long-lived spawn workers, each holding its
 own lazily-built per-dataset matcher and re-attaching plans from the
@@ -10,19 +10,13 @@ shared sqlite plan store (Phase (1) rebuilt once per worker, recorded
 order reused), so results stay bit-identical to the in-process path
 while throughput scales with cores.
 
-Two companions ride in the same package because they close the loop
-the executor opens:
-
-* :class:`DurableQueue` — admission journaled to sqlite (WAL) before
-  it enters the in-memory queue, deleted on any terminal outcome; a
-  killed server's admitted-but-unserved backlog replays on restart.
-* :class:`CostCalibrator` — workers report actual enumeration seconds;
-  an EWMA per ``(dataset, query-size)`` bucket corrects the static
-  plan-cost estimate at admission, surfaced as estimate-vs-observed
-  calibration in ``/stats``.
+One companion rides in the same package because it closes the loop
+the executor opens: :class:`CostCalibrator` — workers report actual
+enumeration seconds; an EWMA per ``(dataset, query-size)`` bucket
+corrects the static plan-cost estimate at admission, surfaced as
+estimate-vs-observed calibration in ``/stats``.
 """
 
-from repro.procpool.durable import DurableEntry, DurableQueue, JOURNAL_SCHEMA_VERSION
 from repro.procpool.feedback import DEFAULT_ALPHA, CostCalibrator
 from repro.procpool.pool import DEFAULT_RESPAWN_LIMIT, ProcessPool
 from repro.procpool.worker import catalog_spec, worker_main
@@ -30,10 +24,7 @@ from repro.procpool.worker import catalog_spec, worker_main
 __all__ = [
     "DEFAULT_ALPHA",
     "DEFAULT_RESPAWN_LIMIT",
-    "JOURNAL_SCHEMA_VERSION",
     "CostCalibrator",
-    "DurableEntry",
-    "DurableQueue",
     "ProcessPool",
     "catalog_spec",
     "worker_main",

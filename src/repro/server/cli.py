@@ -57,7 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers", type=int, default=4,
-        help="service thread-pool width (shard fan-out, batch submits)",
+        help="thread-pool width of MatchService.submit_many batches "
+        "(HTTP match requests are bounded by --max-concurrency)",
     )
     parser.add_argument(
         "--max-concurrency", type=int, default=DEFAULT_CONCURRENCY,

@@ -5,7 +5,7 @@ process, so every worker restart re-pays the filtering and ordering
 phases for the whole warm set.  :class:`PlanStore` is the durable second
 tier behind it: a single sqlite file (stdlib :mod:`sqlite3`, no new
 runtime dependencies) keyed by the exact cache-key tuple — ``(scope,
-shard_layout, filter, orderer, fingerprint)``, where the fingerprint is
+filter, orderer, fingerprint)``, where the fingerprint is
 the process-stable canonical isomorphism-class hash of
 :func:`repro.graphs.canonical.canonical_fingerprint` — holding
 :meth:`~repro.api.plan.QueryPlan.to_dict` payloads as JSON blobs.
@@ -22,7 +22,9 @@ Robustness contract: a row written by an incompatible store schema, an
 unreadable plan payload, or a plan-schema version this build cannot read
 is treated as a **miss** (and quietly deleted), never an error — a stale
 or corrupted store degrades to cold planning, it cannot take a serving
-process down.
+process down.  The table name carries :data:`STORE_SCHEMA_VERSION`, so a
+file written with an older key layout opens cleanly and its rows, kept
+in the older table, are never consulted: every lookup of them misses.
 
 Concurrency: one connection guarded by a lock per :class:`PlanStore`
 instance (``check_same_thread=False``), WAL journaling so concurrent
@@ -32,7 +34,7 @@ Examples
 --------
 >>> from repro.server import PlanStore
 >>> store = PlanStore(":memory:")
->>> key = ("scope", "unsharded", "gql", "ri", "fp:demo")
+>>> key = ("scope", "gql", "ri", "fp:demo")
 >>> store.put(key, {"version": 2, "order": [0, 1]})
 >>> store.get(key)["order"]
 [0, 1]
@@ -55,15 +57,17 @@ from dataclasses import dataclass
 
 __all__ = ["PlanStore", "PlanStoreStats", "STORE_SCHEMA_VERSION"]
 
-#: Version tag written on every row; rows carrying any other value are
-#: served as misses (and dropped) rather than parsed.  Bump on
-#: incompatible layout changes of the table or payload conventions.
-STORE_SCHEMA_VERSION = 1
+#: Version tag written on every row and carried in the table name; rows
+#: carrying any other value are served as misses (and dropped) rather
+#: than parsed.  Bump on incompatible layout changes of the table or
+#: payload conventions.  Version 2 drops a key column of version 1.
+STORE_SCHEMA_VERSION = 2
 
-_TABLE_DDL = """
-CREATE TABLE IF NOT EXISTS plans (
+_TABLE = f"plans_v{STORE_SCHEMA_VERSION}"
+
+_TABLE_DDL = f"""
+CREATE TABLE IF NOT EXISTS {_TABLE} (
     scope        TEXT NOT NULL,
-    shard_layout TEXT NOT NULL,
     filter       TEXT NOT NULL,
     orderer      TEXT NOT NULL,
     fingerprint  TEXT NOT NULL,
@@ -71,9 +75,11 @@ CREATE TABLE IF NOT EXISTS plans (
     plan_version  INTEGER NOT NULL,
     payload      TEXT NOT NULL,
     created_s    REAL NOT NULL,
-    PRIMARY KEY (scope, shard_layout, filter, orderer, fingerprint)
+    PRIMARY KEY (scope, filter, orderer, fingerprint)
 )
 """
+
+_KEY_MATCH = "scope=? AND filter=? AND orderer=? AND fingerprint=?"
 
 
 @dataclass(frozen=True)
@@ -106,12 +112,12 @@ class PlanStoreStats:
         }
 
 
-def _key_columns(key: tuple) -> tuple[str, str, str, str, str]:
-    """Validate and stringify a cache-key tuple into the five columns."""
-    if len(key) != 5:
+def _key_columns(key: tuple) -> tuple[str, str, str, str]:
+    """Validate and stringify a cache-key tuple into the four columns."""
+    if len(key) != 4:
         raise ValueError(
-            f"plan-store keys are (scope, shard_layout, filter, orderer, "
-            f"fingerprint) 5-tuples, got {len(key)} components"
+            f"plan-store keys are (scope, filter, orderer, fingerprint) "
+            f"4-tuples, got {len(key)} components"
         )
     return tuple(str(part) for part in key)  # type: ignore[return-value]
 
@@ -169,8 +175,7 @@ class PlanStore:
         columns = _key_columns(key)
         with self._lock:
             row = self._conn.execute(
-                "SELECT store_version, payload FROM plans WHERE scope=? AND "
-                "shard_layout=? AND filter=? AND orderer=? AND fingerprint=?",
+                f"SELECT store_version, payload FROM {_TABLE} WHERE {_KEY_MATCH}",
                 columns,
             ).fetchone()
             if row is None:
@@ -201,7 +206,7 @@ class PlanStore:
         plan_version = int(payload.get("version", 0))
         with self._lock:
             self._conn.execute(
-                "INSERT OR REPLACE INTO plans VALUES (?,?,?,?,?,?,?,?,?)",
+                f"INSERT OR REPLACE INTO {_TABLE} VALUES (?,?,?,?,?,?,?,?)",
                 columns
                 + (STORE_SCHEMA_VERSION, plan_version, encoded, time.time()),
             )
@@ -219,9 +224,7 @@ class PlanStore:
 
     def _delete_locked(self, columns: tuple) -> bool:
         cursor = self._conn.execute(
-            "DELETE FROM plans WHERE scope=? AND shard_layout=? AND "
-            "filter=? AND orderer=? AND fingerprint=?",
-            columns,
+            f"DELETE FROM {_TABLE} WHERE {_KEY_MATCH}", columns
         )
         self._conn.commit()
         return cursor.rowcount > 0
@@ -239,7 +242,7 @@ class PlanStore:
         """
         with self._lock:
             cursor = self._conn.execute(
-                "DELETE FROM plans WHERE scope=?", (str(scope),)
+                f"DELETE FROM {_TABLE} WHERE scope=?", (str(scope),)
             )
             self._conn.commit()
             self._invalidated += cursor.rowcount
@@ -248,7 +251,7 @@ class PlanStore:
     def clear(self) -> int:
         """Drop every row; returns how many there were."""
         with self._lock:
-            cursor = self._conn.execute("DELETE FROM plans")
+            cursor = self._conn.execute(f"DELETE FROM {_TABLE}")
             self._conn.commit()
             self._invalidated += cursor.rowcount
             return cursor.rowcount
@@ -259,16 +262,14 @@ class PlanStore:
     def __len__(self) -> int:
         with self._lock:
             return int(
-                self._conn.execute("SELECT COUNT(*) FROM plans").fetchone()[0]
+                self._conn.execute(f"SELECT COUNT(*) FROM {_TABLE}").fetchone()[0]
             )
 
     def __contains__(self, key: tuple) -> bool:
         columns = _key_columns(key)
         with self._lock:
             row = self._conn.execute(
-                "SELECT 1 FROM plans WHERE scope=? AND shard_layout=? AND "
-                "filter=? AND orderer=? AND fingerprint=?",
-                columns,
+                f"SELECT 1 FROM {_TABLE} WHERE {_KEY_MATCH}", columns
             ).fetchone()
             return row is not None
 
@@ -276,7 +277,7 @@ class PlanStore:
         """A consistent counter snapshot (plus the live row count)."""
         with self._lock:
             rows = int(
-                self._conn.execute("SELECT COUNT(*) FROM plans").fetchone()[0]
+                self._conn.execute(f"SELECT COUNT(*) FROM {_TABLE}").fetchone()[0]
             )
             return PlanStoreStats(
                 path=self.path,

@@ -49,11 +49,7 @@ class CatalogEntry:
     ``data`` may be ``None`` for registry datasets (loaded through
     :func:`repro.datasets.load_dataset` on first use).  The component
     and limit fields mirror :class:`~repro.api.matcher.Matcher`'s
-    constructor; ``model`` feeds the learned orderer.  ``shards`` (with
-    ``shard_mode``) turns on partitioned matching for the dataset: the
-    constructed matcher wraps the data graph in a
-    :class:`~repro.graphs.partition.ShardedGraph` and the service fans
-    per-shard enumeration through its shard pool.
+    constructor; ``model`` feeds the learned orderer.
     """
 
     name: str
@@ -65,8 +61,6 @@ class CatalogEntry:
     time_limit: float | None = DEFAULT_TIME_LIMIT
     model: object = None
     stats: GraphStats | None = field(default=None, repr=False)
-    shards: int | None = None
-    shard_mode: str = "range"
 
     def load(self) -> tuple[Graph, GraphStats | None]:
         """The entry's data graph and (possibly shared) statistics."""
@@ -239,13 +233,8 @@ class DatasetCatalog:
         # racing thread may build the same matcher twice; first write
         # wins and the duplicates are equivalent.
         if orderer is not None:
-            # Variants share the base matcher's data graph and stats —
-            # and its shard layout, so per-request orderer overrides
-            # keep the entry's partitioning (ShardedGraph carries the
-            # layout; passing it back re-uses source graph and ranges).
             base = self.matcher(name)
-            data = base.sharded if base.sharded is not None else base.data
-            stats = base.stats
+            data, stats = base.data, base.stats
         else:
             data, stats = entry.load()
             if stats is None:
@@ -271,8 +260,6 @@ class DatasetCatalog:
             filter=entry.filter,
             orderer=chosen,
             enumerator=entry.enumerator,
-            shards=entry.shards if orderer is None else None,
-            shard_mode=entry.shard_mode,
             match_limit=entry.match_limit,
             time_limit=entry.time_limit,
             stats=stats,

@@ -81,12 +81,6 @@ def add_scheduler_arguments(parser: argparse.ArgumentParser) -> None:
         help="worker-process count for --scheduler-executor process",
     )
     group.add_argument(
-        "--durable-queue", default=None, metavar="PATH",
-        help="sqlite journal for admitted-but-unserved requests: entries "
-        "survive a crash and are re-admitted (with attempts bumped) on the "
-        "next start",
-    )
-    group.add_argument(
         "--queue-capacity", type=int, default=SchedulerConfig.queue_capacity,
         metavar="N",
         help="bounded admission-queue depth; past it requests are rejected",
@@ -132,7 +126,6 @@ def scheduler_config_from_args(args) -> SchedulerConfig | None:
         workers=args.sched_workers,
         executor=args.scheduler_executor,
         process_workers=args.process_workers,
-        durable_path=args.durable_queue,
         queue_capacity=args.queue_capacity,
         default_deadline_s=args.default_deadline,
         tenant_max_inflight=args.tenant_max_inflight,

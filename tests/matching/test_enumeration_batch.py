@@ -40,6 +40,16 @@ def _random_instance(seed: int):
     return query, data, candidates, order
 
 
+def _sparse_instance(seed: int):
+    """A 50-vertex, 3-label graph with a 3-5 vertex query."""
+    rng = np.random.default_rng(seed)
+    data = erdos_renyi(50, 140, 3, seed=seed)
+    query = extract_query(data, int(rng.integers(3, 6)), rng)
+    candidates = GQLFilter().filter(query, data)
+    order = RIOrderer().order(query, data, candidates)
+    return query, data, candidates, order
+
+
 def _run(strategy: str, instance, **kwargs):
     query, data, candidates, order = instance
     kwargs.setdefault("match_limit", None)
@@ -52,10 +62,7 @@ def _run(strategy: str, instance, **kwargs):
 # ----------------------------------------------------------------------
 # Three-way bit-identity
 # ----------------------------------------------------------------------
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 100_000))
-def test_three_way_bit_identity_find_all(seed):
-    instance = _random_instance(seed)
+def _assert_three_way_identity(instance):
     results = {name: _run(name, instance) for name in ENGINES}
     oracle = results["recursive"]
     for name in ("iterative", "vectorized"):
@@ -65,6 +72,18 @@ def test_three_way_bit_identity_find_all(seed):
         assert result.matches == oracle.matches, name
         assert result.num_enumerations == oracle.num_enumerations, name
         assert result.complete == oracle.complete, name
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 100_000))
+def test_three_way_bit_identity_find_all(seed):
+    _assert_three_way_identity(_random_instance(seed))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10_000))
+def test_three_way_bit_identity_sparse_graphs(seed):
+    _assert_three_way_identity(_sparse_instance(seed))
 
 
 @settings(max_examples=20, deadline=None)
@@ -202,44 +221,6 @@ def test_stream_result_equals_batch_run(seed, limit):
     assert result.num_matches == batch.num_matches
     assert result.num_enumerations == batch.num_enumerations
     assert result.limit_reached == batch.limit_reached
-
-
-# ----------------------------------------------------------------------
-# Sharded runs
-# ----------------------------------------------------------------------
-@settings(max_examples=10, deadline=None)
-@given(st.integers(0, 10_000), st.sampled_from([2, 4]))
-def test_sharded_vectorized_equals_unsharded_iterative(seed, shards):
-    rng = np.random.default_rng(seed)
-    data = erdos_renyi(50, 140, 3, seed=seed)
-    query = extract_query(data, int(rng.integers(3, 6)), rng)
-    oracle = Matcher(
-        data, filter="gql", orderer="ri", enumerator="iterative",
-        match_limit=None, record_matches=True,
-    ).match(query)
-    sharded = Matcher(
-        data, filter="gql", orderer="ri", enumerator="vectorized",
-        shards=shards, match_limit=None, record_matches=True,
-    ).match(query)
-    # Merged per-shard vectorized sequences reproduce the global
-    # unsharded iterative emission order exactly.
-    assert sharded.enumeration.matches == oracle.enumeration.matches
-    assert sharded.num_matches == oracle.num_matches
-    # Per-shard #enum agrees engine-to-engine (each shard is its own
-    # bit-identical enumeration).
-    sharded_it = Matcher(
-        data, filter="gql", orderer="ri", enumerator="iterative",
-        shards=shards, match_limit=None, record_matches=True,
-    ).match(query)
-    assert sharded.num_enumerations == sharded_it.num_enumerations
-    if sharded.shards is not None and sharded_it.shards is not None:
-        assert [
-            (o.shard_id, o.num_matches, o.num_enumerations)
-            for o in sharded.shards
-        ] == [
-            (o.shard_id, o.num_matches, o.num_enumerations)
-            for o in sharded_it.shards
-        ]
 
 
 # ----------------------------------------------------------------------

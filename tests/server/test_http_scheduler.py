@@ -107,6 +107,7 @@ class TestScheduledServing:
                 stats = get_stats(background)
                 assert stats["schema"] == STATS_SCHEMA_VERSION
                 sched = stats["scheduler"]
+                assert "recovered" not in sched and "durable" not in sched
                 assert sched["completed"] == 1
                 assert sched["tenants"]["acme"]["completed"] == 1
         finally:

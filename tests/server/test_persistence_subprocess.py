@@ -21,6 +21,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.server.store import _TABLE
+
 CHILD = Path(__file__).with_name("_persistence_child.py")
 SRC = Path(__file__).resolve().parents[2] / "src"
 ISOMORPH_SEED = 42
@@ -102,7 +104,7 @@ class TestStoreDegradation:
     ):
         store = tmp_path / "plans.sqlite"
         run_child(store)
-        self.corrupt(store, "UPDATE plans SET payload='{\"bad\": 1}'")
+        self.corrupt(store, f"UPDATE {_TABLE} SET payload='{{\"bad\": 1}}'")
         fallback = run_child(store, relabel_seed=ISOMORPH_SEED)
         oracle = run_child(None, relabel_seed=ISOMORPH_SEED)
         assert not fallback["cache_hit"]  # unreadable row = miss...
@@ -112,7 +114,7 @@ class TestStoreDegradation:
     def test_old_schema_row_falls_back_to_cold_planning(self, tmp_path):
         store = tmp_path / "plans.sqlite"
         run_child(store)
-        self.corrupt(store, "UPDATE plans SET store_version=999")
+        self.corrupt(store, f"UPDATE {_TABLE} SET store_version=999")
         fallback = run_child(store, relabel_seed=ISOMORPH_SEED)
         assert not fallback["cache_hit"]
         assert fallback["num_matches"] > 0
@@ -120,7 +122,7 @@ class TestStoreDegradation:
     def test_fallback_repopulates_the_store(self, tmp_path):
         store = tmp_path / "plans.sqlite"
         run_child(store)
-        self.corrupt(store, "UPDATE plans SET store_version=999")
+        self.corrupt(store, f"UPDATE {_TABLE} SET store_version=999")
         run_child(store, relabel_seed=ISOMORPH_SEED)
         # The stale row was dropped and the cold re-plan wrote through:
         # the *next* process warm-starts again.

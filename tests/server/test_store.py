@@ -7,10 +7,10 @@ import pytest
 
 from repro.api import Matcher
 from repro.graphs import erdos_renyi, extract_query
-from repro.server.store import STORE_SCHEMA_VERSION, PlanStore
+from repro.server.store import _TABLE, STORE_SCHEMA_VERSION, PlanStore
 from repro.service.cache import PlanCache
 
-KEY = ("scope", "unsharded", "gql", "ri", "fp:abc")
+KEY = ("scope", "gql", "ri", "fp:abc")
 
 
 @pytest.fixture()
@@ -35,9 +35,9 @@ class TestPlanStore:
         assert len(store) == 1
         assert store.get(KEY)["version"] == 2
 
-    def test_key_must_be_a_five_tuple(self, store):
+    def test_key_must_be_a_four_tuple(self, store):
         with pytest.raises(ValueError):
-            store.put(("scope", "gql", "ri", "fp"), {})
+            store.put(("scope", "extra", "gql", "ri", "fp"), {})
         with pytest.raises(ValueError):
             store.get(("a",))
 
@@ -51,7 +51,7 @@ class TestPlanStore:
         store.put(KEY, {"version": 1})
         with store._lock:
             store._conn.execute(
-                "UPDATE plans SET store_version=?",
+                f"UPDATE {_TABLE} SET store_version=?",
                 (STORE_SCHEMA_VERSION + 1,),
             )
             store._conn.commit()
@@ -62,7 +62,7 @@ class TestPlanStore:
     def test_corrupt_payload_row_is_dropped_as_miss(self, store):
         store.put(KEY, {"version": 1})
         with store._lock:
-            store._conn.execute("UPDATE plans SET payload='{truncated'")
+            store._conn.execute(f"UPDATE {_TABLE} SET payload='{{truncated'")
             store._conn.commit()
         assert store.get(KEY) is None
         assert len(store) == 0
@@ -71,7 +71,7 @@ class TestPlanStore:
     def test_non_object_payload_row_is_dropped_as_miss(self, store):
         store.put(KEY, {"version": 1})
         with store._lock:
-            store._conn.execute("UPDATE plans SET payload='[1, 2]'")
+            store._conn.execute(f"UPDATE {_TABLE} SET payload='[1, 2]'")
             store._conn.commit()
         assert store.get(KEY) is None
 
@@ -156,7 +156,7 @@ class TestCacheStoreTier:
         )
         plan = warmer.plan(query)
         with store._lock:
-            store._conn.execute("UPDATE plans SET payload='{\"bad\": 1}'")
+            store._conn.execute(f"UPDATE {_TABLE} SET payload='{{\"bad\": 1}}'")
             store._conn.commit()
         cold_cache = PlanCache(max_bytes=1 << 24, store=store)
         matcher = Matcher(data, plan_cache=cold_cache, cache_scope="d")
@@ -193,3 +193,61 @@ class TestCacheStoreTier:
         cache.attach_store(store)
         matcher.plan(query)
         assert len(store) == 1
+
+
+#: The table a version-1 store wrote: five key columns, one of them a
+#: partition-layout token this build no longer keys on.
+_PARENT_DDL = """
+CREATE TABLE plans (
+    scope        TEXT NOT NULL,
+    shard_layout TEXT NOT NULL,
+    filter       TEXT NOT NULL,
+    orderer      TEXT NOT NULL,
+    fingerprint  TEXT NOT NULL,
+    store_version INTEGER NOT NULL,
+    plan_version  INTEGER NOT NULL,
+    payload      TEXT NOT NULL,
+    created_s    REAL NOT NULL,
+    PRIMARY KEY (scope, shard_layout, filter, orderer, fingerprint)
+)
+"""
+
+
+class TestStoreUpgrade:
+    def test_version_one_file_opens_and_serves_its_rows_as_misses(
+        self, data, query, tmp_path
+    ):
+        cold = Matcher(data, record_matches=True)
+        plan = cold.plan(query)
+        want = cold.execute(plan)
+        path = tmp_path / "plans.sqlite"
+        conn = sqlite3.connect(path)
+        conn.execute(_PARENT_DDL)
+        conn.execute(
+            "INSERT INTO plans VALUES (?,?,?,?,?,?,?,?,?)",
+            ("d", "unsharded", "gql", "ri", plan.fingerprint, 1, 2,
+             plan.to_json(), 0.0),
+        )
+        conn.commit()
+        conn.close()
+
+        store = PlanStore(path)
+        cache = PlanCache(max_bytes=1 << 24, store=store)
+        matcher = Matcher(
+            data, plan_cache=cache, cache_scope="d", record_matches=True
+        )
+        replanned, hit = matcher.plan_fingerprinted(query, plan.fingerprint)
+        assert not hit
+        assert cache.stats().store_hits == 0
+        got = matcher.execute(replanned)
+        assert replanned.order == plan.order
+        assert got.enumeration.matches == want.enumeration.matches
+        assert got.num_enumerations == want.num_enumerations
+        # The cold plan was filed under the new key layout and now
+        # serves a fresh process from the store.
+        assert len(store) == 1 and store.stats().writes == 1
+        warm, hit = Matcher(
+            data, plan_cache=PlanCache(max_bytes=1 << 24, store=store),
+            cache_scope="d",
+        ).plan_fingerprinted(query, plan.fingerprint)
+        assert hit and warm.order == plan.order

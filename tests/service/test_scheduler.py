@@ -573,6 +573,11 @@ class TestServiceIntegration:
         try:
             plain_stats = plain.stats().to_dict()
             assert plain_stats["schema"] == STATS_SCHEMA_VERSION
+            assert set(plain_stats) == {
+                "schema", "requests", "errors", "cache", "filter_time_s",
+                "order_time_s", "enum_time_s", "latency_p50_s",
+                "latency_p95_s", "latency_p99_s", "scheduler",
+            }
             assert plain_stats["scheduler"] is None
             scheduled.submit_scheduled(
                 MatchRequest("tiny", queries[0], tenant="acme")
@@ -580,6 +585,11 @@ class TestServiceIntegration:
             stats = scheduled.stats().to_dict()
             assert stats["schema"] == STATS_SCHEMA_VERSION
             sched_block = stats["scheduler"]
+            assert set(sched_block) == {
+                "queue_depth", "queue_capacity", "workers", "executor",
+                "admitted", "rejected", "expired", "degraded", "completed",
+                "errors", "tenants", "calibration", "procpool",
+            }
             assert sched_block["admitted"] == 1
             assert sched_block["completed"] == 1
             assert sched_block["tenants"]["acme"]["completed"] == 1
